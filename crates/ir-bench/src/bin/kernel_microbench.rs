@@ -3,20 +3,28 @@
 //! Times the weighted-Hamming-distance sweep on the scalar reference, the
 //! portable SWAR kernel and the widest explicit-SIMD kernel the host CPU
 //! offers (`simd` — the one [`ir_core::kernel::active`] dispatches to,
-//! unless `IR_KERNEL` overrides it), in both execution modes:
+//! unless `IR_KERNEL` overrides it), in three modes:
 //!
 //! - **pair**  — one `run_pair_fast_packed_with` call per (consensus,
 //!   read) pair, the pre-batching hot path;
 //! - **batch** — one `run_read_sweep` over a structure-of-arrays
-//!   [`CandidateBlock`] holding all candidates, the deployed hot path.
+//!   [`CandidateBlock`] holding all candidates, the deployed hot path;
+//! - **pruned** — the same batch sweep under the serial datapath with
+//!   pruning on, the read planted at a mid offset of every candidate with
+//!   ~1% substitutions: the shape the functional oracle spends its time
+//!   in, where most offsets cross the bound within their first bases.
 //!
-//! The fixture is the adversarial dense shape (unrelated read, every lane
-//! accumulates) with pruning off, so every kernel does the identical,
-//! closed-form amount of work and the Gbase/s column measures raw fold
-//! throughput. Row keys are stable across hosts (`scalar`, `swar`,
-//! `simd`); the `isa` column records which ISA `simd` resolved to, and
-//! the snapshot records the same name as its `kernel` config field so
-//! `bench-diff` never compares Gbase/s across ISAs.
+//! `pair` and `batch` run the adversarial dense shape (unrelated read,
+//! every lane accumulates) with pruning off, so every kernel does the
+//! identical, closed-form amount of work and the Gbase/s column measures
+//! raw fold throughput. For `pruned`, Gbase/s counts the same window
+//! bases (candidates × offsets × read length) whether or not pruning
+//! skipped them, so it is the rate at which the sweep disposes of
+//! windows. Row keys are stable across hosts (`scalar`, `swar`, `simd`,
+//! each with `pair`, `batch` and `pruned`); the `isa` column records
+//! which ISA `simd` resolved to, and the snapshot records the same name
+//! as its `kernel` config field so `bench-diff` never compares Gbase/s
+//! across ISAs.
 
 use std::time::Instant;
 
@@ -52,7 +60,7 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let active = kernel::active();
-    println!("WHD kernel microbenchmark (dense shape, pruning off)");
+    println!("WHD kernel microbenchmark (dense shape with pruning off; pruned serial shape)");
     println!("active kernel: {active}");
     if let Some(diag) = kernel::active_diagnostic() {
         println!("dispatch diagnostic: {diag}");
@@ -75,6 +83,26 @@ fn main() {
     let sweep_read = SweepRead::from_packed(&packed_read, &quals);
     // Bases compared per full sweep of one read against all candidates.
     let bases = (candidates * (m - n + 1) * n) as f64;
+
+    // Pruned fixture: the read planted mid-row in every candidate, with
+    // three substitutions (1.2%) at candidate-specific positions.
+    let planted_at = (m - n) / 2;
+    let planted: Vec<Sequence> = cons
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let mut row = c.bases().to_vec();
+            row[planted_at..planted_at + n].copy_from_slice(read.bases());
+            for j in 0..3 {
+                let at = planted_at + (j * 97 + i * 13) % n;
+                row[at] = Base::from_index(row[at].index().map_or(0, |x| x + 1) & 3);
+            }
+            row.into_iter().collect()
+        })
+        .collect();
+    let planted_rows: Vec<&[Base]> = planted.iter().map(|c| c.bases()).collect();
+    let planted_block = CandidateBlock::from_bases_rows(&planted_rows);
+    let pruned_cfg = HdcConfig::serial();
 
     let rows: Vec<(&str, KernelKind)> = vec![
         ("scalar", KernelKind::Scalar),
@@ -99,13 +127,25 @@ fn main() {
         let batch_ns = time_ns(|| {
             std::hint::black_box(run_read_sweep(&block, &sweep_read, kind, cfg));
         });
+        let pruned_ns = time_ns(|| {
+            std::hint::black_box(run_read_sweep(
+                &planted_block,
+                &sweep_read,
+                kind,
+                pruned_cfg,
+            ));
+        });
         if row == "swar" {
             swar_batch_ns = Some(batch_ns);
         }
         if row == "simd" {
             simd_batch_ns = Some(batch_ns);
         }
-        for (mode, ns) in [("pair", pair_ns), ("batch", batch_ns)] {
+        for (mode, ns) in [
+            ("pair", pair_ns),
+            ("batch", batch_ns),
+            ("pruned", pruned_ns),
+        ] {
             table.row(vec![
                 row.to_string(),
                 kind.name().to_string(),

@@ -38,10 +38,32 @@
 //! AVX-512 runs the diagram 64 lanes at a time with fault-suppressing
 //! masked loads for the tail; AVX2 runs 32 lanes with a scalar tail; NEON
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
+//!
+//! # The pruned offset sweep
+//!
+//! [`prune_sweep`] runs a whole (candidate, read) offset sweep against the
+//! HDC's pruning bound. Per 64-base chunk it folds `sel` as above and,
+//! only when the chunk takes the running WHD past the bound, locates the
+//! crossing base inside the chunk:
+//!
+//! ```text
+//! g    = sad(sel, 0)                  eight 8-lane group sums
+//! G    = inclusive prefix of g        three shift-adds across u64 lanes
+//! grp  = first i with Gᵢ > rem        one unsigned compare → bitmask
+//! P    = u16 prefix of sel[grp]       shift-adds within one 8-lane group
+//! lane = 8·grp + first j with Pⱼ > rem − G_(grp−1)
+//! ```
+//!
+//! AVX-512 runs that in-vector; AVX2 sums its two 32-lane halves, finds
+//! the group with a branch-free count and shares the u16 group step.
+//! Scalar, SWAR and NEON fold a word (8, 8 and 16 lanes) at a time and
+//! count lanes in the word that crosses.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
+
+use crate::batch::{SweepRead, ROW_PAD};
 
 /// One of the available weighted-mismatch fold implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -344,170 +366,224 @@ pub fn fold_whd_counted(kind: KernelKind, win: &[u8], read: &[u8], scores: &[u8]
     }
 }
 
-/// Bitmask of mismatching positions over a window of at most 64 bases:
-/// bit `i` is set iff `win[i] != read[i]`. The serial immediate-prune
-/// scan uses this instead of [`fold_whd`] — one vector compare yields
-/// the mismatch set, and the caller accumulates scores bit by bit in
-/// ascending position with an exact per-base bound check, which is both
-/// the pruning semantics of the per-base reference and (on realistic
-/// mostly-matching reads) far less work than folding plus replay.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, exceed 64, or `kind` cannot run
-/// on this CPU.
-pub fn mismatch_mask(kind: KernelKind, win: &[u8], read: &[u8]) -> u64 {
-    assert_eq!(win.len(), read.len(), "window/read length mismatch");
-    assert!(read.len() <= 64, "mismatch window wider than 64 bases");
-    match kind {
-        KernelKind::Scalar => mask_scalar(win, read),
-        KernelKind::Swar => mask_swar(win, read),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx2 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime.
-            unsafe { x86::mask_avx2(win, read) }
-        }
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx512 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW at runtime.
-            unsafe { x86::mask_avx512(win, read) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified NEON at runtime.
-            unsafe { aarch64::mask_neon(win, read) }
-        }
-        #[allow(unreachable_patterns)]
-        other => unavailable(other),
-    }
-}
+/// Lanes per [`prune_sweep`] chunk: one AVX-512 vector, and the
+/// [`ROW_PAD`] multiple every [`SweepRead`] lane array is padded to.
+const CHUNK: usize = ROW_PAD;
 
-/// Aggregate result of [`serial_sweep`]: the jump-to-outcome summary of
-/// a full serial immediate-prune offset sweep.
+/// Outcome of one [`prune_sweep`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SerialSweep {
-    /// Minimum WHD over all completed offsets.
+pub struct PruneSweep {
+    /// Minimum full WHD over the offsets that never crossed their bound.
     pub min_whd: u64,
     /// Offset achieving `min_whd` (first on ties).
     pub min_offset: usize,
-    /// Total bases visited across every offset — the pruned scans'
-    /// cycle and comparison charge.
-    pub visited: u64,
-    /// Offsets abandoned by pruning.
-    pub offsets_pruned: u64,
+    /// Offsets whose running WHD crossed their bound.
+    pub crossed: u64,
 }
 
-/// The full serial immediate-prune offset sweep of one (candidate,
-/// read) pair: for each offset `k in 0..=row_len - n`, scan the read
-/// base by base, accumulate the quality score at each mismatch, and
-/// stop the offset as soon as the running sum exceeds the best
-/// completed minimum — per-base pruning semantics, bit-exact with the
-/// scalar reference.
+/// The offset sweep of one (candidate, read) pair with the HDC's pruning
+/// bound: the bound at offset `k` is the minimum full WHD over the
+/// offsets before `k` that never crossed theirs (`u64::MAX` without
+/// `prune`), and offset `k` *crosses* when its full WHD exceeds that
+/// bound. Each crossed offset is reported to `on_cross` (when `locate`)
+/// with its **crossing index** `c`: the first base at which the running
+/// sum of mismatch scores exceeds the bound. Scores are non-negative, so
+/// `c` — and every pruning cost derived from it — does not depend on how
+/// the scan is chunked.
 ///
-/// The whole sweep lives here (rather than a per-offset primitive) so
-/// the per-ISA mismatch compare inlines into the offset loop: the loop
-/// runs hundreds of offsets per pair and most stop within their first
-/// few mismatches, so per-offset dispatch overhead would dominate the
-/// actual work.
+/// Each 64-base chunk is one masked compare that selects the scores of
+/// the mismatching bases, and one horizontal sum. Only a chunk whose sum
+/// takes the running WHD past the bound is searched for `c`, in-vector
+/// and without a branch per mismatch. An offset whose read cannot reach
+/// the bound even if every base mismatches is folded without any bound
+/// check. The whole offset loop runs inside the ISA's
+/// `#[target_feature]` scope, so nothing is dispatched per offset.
 ///
-/// `row` is the candidate row (commonly a padded [`CandidateBlock`]
-/// row); only `row[..row_len]` is read. `read` and `scores` must have
-/// equal lengths `n <= row_len`.
+/// `row` is the candidate's padded row (commonly
+/// [`CandidateBlock::row_padded`]); `row[..row_len]` is the candidate and
+/// windows run past it into the padding, where the read's zero-score
+/// padding lanes make them contribute nothing.
 ///
-/// [`CandidateBlock`]: crate::batch::CandidateBlock
+/// [`CandidateBlock::row_padded`]: crate::batch::CandidateBlock::row_padded
 ///
 /// # Panics
 ///
-/// Panics if `read`/`scores` lengths differ, `n > row_len`,
-/// `row_len > row.len()`, or `kind` cannot run on this CPU.
-pub fn serial_sweep(
+/// Panics if the read is longer than `row_len`, if `row` is too short to
+/// hold a padded read window at every offset, or if `kind` cannot run on
+/// this CPU.
+pub fn prune_sweep(
     kind: KernelKind,
     row: &[u8],
     row_len: usize,
-    read: &[u8],
-    scores: &[u8],
-) -> SerialSweep {
-    assert_eq!(scores.len(), read.len(), "scores/read length mismatch");
-    assert!(row_len <= row.len(), "row_len beyond the candidate row");
+    read: &SweepRead,
+    prune: bool,
+    locate: bool,
+    on_cross: impl FnMut(usize),
+) -> PruneSweep {
     assert!(read.len() <= row_len, "read longer than consensus");
+    assert!(
+        row.len() >= row_len - read.len() + read.padded_len(),
+        "candidate row lacks window padding"
+    );
+    let sweep = Sweep {
+        row,
+        offsets: row_len - read.len() + 1,
+        read,
+        prune,
+        locate,
+    };
     match kind {
-        KernelKind::Scalar => serial_sweep_generic(row, row_len, read, scores, mask_scalar),
-        KernelKind::Swar => serial_sweep_generic(row, row_len, read, scores, mask_swar),
+        KernelKind::Scalar => sweep.run(on_cross, fold_scalar, |w, r, s, rem| {
+            scan_portable::<8>(fold_scalar, w, r, s, rem)
+        }),
+        KernelKind::Swar => sweep.run(on_cross, fold_swar, |w, r, s, rem| {
+            scan_portable::<8>(fold_swar, w, r, s, rem)
+        }),
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx2 => {
             assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime.
-            unsafe { x86::serial_sweep_avx2(row, row_len, read, scores) }
+            // SAFETY: `assert_available` verified AVX2 at runtime, and
+            // the asserts above keep every chunk load inside `row` and the
+            // read's padded lane arrays.
+            unsafe { x86::prune_sweep_avx2(&sweep, on_cross) }
         }
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx512 => {
             assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW at runtime.
-            unsafe { x86::serial_sweep_avx512(row, row_len, read, scores) }
+            // SAFETY: as above, for AVX-512F/BW.
+            unsafe { x86::prune_sweep_avx512(&sweep, on_cross) }
         }
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => {
             assert_available(kind);
             // SAFETY: `assert_available` verified NEON at runtime.
-            unsafe { aarch64::serial_sweep_neon(row, row_len, read, scores) }
+            unsafe { aarch64::prune_sweep_neon(&sweep, on_cross) }
         }
         #[allow(unreachable_patterns)]
         other => unavailable(other),
     }
 }
 
-/// The offset loop shared by every ISA, monomorphized over the 64-base
-/// mismatch-mask primitive so it inlines (the `#[target_feature]`
-/// wrappers instantiate it with their ISA's mask inside the feature
-/// scope).
+/// What a chunk scan found: the chunk's weighted mismatch sum, or the
+/// lane at which the running WHD crossed the bound.
+type ChunkScan = Result<u64, usize>;
+
+/// One validated [`prune_sweep`] call.
+struct Sweep<'a> {
+    row: &'a [u8],
+    offsets: usize,
+    read: &'a SweepRead,
+    prune: bool,
+    locate: bool,
+}
+
+impl Sweep<'_> {
+    /// The offset loop shared by every ISA, monomorphized over the ISA's
+    /// fold (`win, read, scores -> Σ`) and chunk scan (`win, read,
+    /// scores, rem -> ChunkScan`, crossing when the chunk's prefix sum
+    /// exceeds `rem`) so both inline; the `#[target_feature]` wrappers
+    /// instantiate it inside their feature scope.
+    #[inline(always)]
+    fn run(
+        &self,
+        mut on_cross: impl FnMut(usize),
+        fold: impl Fn(&[u8], &[u8], &[u8]) -> u64,
+        scan: impl Fn(&[u8], &[u8], &[u8], u64) -> ChunkScan,
+    ) -> PruneSweep {
+        let codes = self.read.codes_padded();
+        let scores = self.read.scores_padded();
+        let n_pad = codes.len();
+        let read_total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+        let mut out = PruneSweep {
+            min_whd: u64::MAX,
+            min_offset: 0,
+            crossed: 0,
+        };
+        for k in 0..self.offsets {
+            let win = &self.row[k..k + n_pad];
+            let bound = if self.prune { out.min_whd } else { u64::MAX };
+            let whd = if read_total <= bound {
+                // Not even an all-mismatch window reaches the bound.
+                fold(win, codes, scores)
+            } else {
+                let mut whd = 0u64;
+                let mut crossing = None;
+                for at in (0..n_pad).step_by(CHUNK) {
+                    let chunk = at..at + CHUNK;
+                    let (w, r, s) = (&win[chunk.clone()], &codes[chunk.clone()], &scores[chunk]);
+                    // `whd <= bound` holds until a chunk crosses.
+                    let rem = bound - whd;
+                    let step = if self.locate {
+                        scan(w, r, s, rem)
+                    } else {
+                        match fold(w, r, s) {
+                            sum if sum > rem => Err(0),
+                            sum => Ok(sum),
+                        }
+                    };
+                    match step {
+                        Ok(sum) => whd += sum,
+                        Err(lane) => {
+                            crossing = Some(at + lane);
+                            break;
+                        }
+                    }
+                }
+                if let Some(c) = crossing {
+                    out.crossed += 1;
+                    if self.locate {
+                        on_cross(c);
+                    }
+                    continue;
+                }
+                whd
+            };
+            if whd < out.min_whd {
+                out.min_whd = whd;
+                out.min_offset = k;
+            }
+        }
+        out
+    }
+}
+
+/// The portable chunk scan, a `GROUP`-lane word at a time: the ISA's
+/// fold sums the word, and only the word that crosses is searched with
+/// [`locate_portable`].
 #[inline(always)]
-fn serial_sweep_generic(
-    row: &[u8],
-    row_len: usize,
+fn scan_portable<const GROUP: usize>(
+    fold: impl Fn(&[u8], &[u8], &[u8]) -> u64,
+    win: &[u8],
     read: &[u8],
     scores: &[u8],
-    mask_chunk: impl Fn(&[u8], &[u8]) -> u64,
-) -> SerialSweep {
-    let n = read.len();
-    let max_k = row_len - n;
-    let mut out = SerialSweep {
-        min_whd: u64::MAX,
-        min_offset: 0,
-        visited: 0,
-        offsets_pruned: 0,
-    };
-    for k in 0..=max_k {
-        let win = &row[k..k + n];
-        let mut whd = 0u64;
-        let mut visited = 0usize;
-        let mut stopped = false;
-        'scan: while visited < n {
-            let end = (visited + 64).min(n);
-            let mut mask = mask_chunk(&win[visited..end], &read[visited..end]);
-            while mask != 0 {
-                let idx = visited + mask.trailing_zeros() as usize;
-                whd += u64::from(scores[idx]);
-                if whd > out.min_whd {
-                    visited = idx + 1;
-                    stopped = true;
-                    break 'scan;
-                }
-                mask &= mask - 1;
-            }
-            visited = end;
+    rem: u64,
+) -> ChunkScan {
+    let mut sum = 0u64;
+    for at in (0..CHUNK).step_by(GROUP) {
+        let word = at..at + GROUP;
+        let (w, r, s) = (&win[word.clone()], &read[word.clone()], &scores[word]);
+        let word_sum = fold(w, r, s);
+        if sum + word_sum > rem {
+            return Err(at + locate_portable(w, r, s, rem - sum));
         }
-        out.visited += visited as u64;
-        if stopped {
-            out.offsets_pruned += 1;
-        } else if whd < out.min_whd {
-            out.min_whd = whd;
-            out.min_offset = k;
-        }
+        sum += word_sum;
     }
-    out
+    Ok(sum)
+}
+
+/// The first lane whose prefix sum of mismatch scores exceeds `rem`.
+/// The prefix never decreases, so that lane's index is the number of
+/// lanes whose prefix is still `<= rem` — a count, with no branch per
+/// mismatch.
+#[inline(always)]
+fn locate_portable(win: &[u8], read: &[u8], scores: &[u8], rem: u64) -> usize {
+    let mut prefix = 0u64;
+    let mut lane = 0usize;
+    for i in 0..read.len() {
+        prefix += u64::from(win[i] != read[i]) * u64::from(scores[i]);
+        lane += usize::from(prefix <= rem);
+    }
+    lane
 }
 
 #[inline]
@@ -527,6 +603,7 @@ fn unavailable(kind: KernelKind) -> ! {
 // Scalar reference.
 // ---------------------------------------------------------------------------
 
+#[inline]
 fn fold_scalar(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
     let mut sum = 0u64;
     for i in 0..read.len() {
@@ -544,14 +621,6 @@ fn fold_scalar_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
         count += neq;
     }
     (sum, count)
-}
-
-fn mask_scalar(win: &[u8], read: &[u8]) -> u64 {
-    let mut mask = 0u64;
-    for i in 0..read.len() {
-        mask |= u64::from(win[i] != read[i]) << i;
-    }
-    mask
 }
 
 // ---------------------------------------------------------------------------
@@ -591,10 +660,12 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte group"))
 }
 
+#[inline]
 fn fold_swar(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
     fold_swar_counted(win, read, scores).0
 }
 
+#[inline]
 fn fold_swar_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
     let n = read.len();
     let mut sum = 0u64;
@@ -619,27 +690,6 @@ fn fold_swar_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
     (sum, count)
 }
 
-fn mask_swar(win: &[u8], read: &[u8]) -> u64 {
-    let n = read.len();
-    let mut mask = 0u64;
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let x = le_word(&win[i..i + 8]) ^ le_word(&read[i..i + 8]);
-        let nonzero = ((x & !SWAR_HI) + !SWAR_HI) | x;
-        // 0x01 per mismatching byte, gathered to one bit per byte: byte
-        // `j`'s mark lands on bit `56 + j` of the product (each top-byte
-        // partial sum is a distinct power of two, so no carries).
-        let marks = (nonzero & SWAR_HI) >> 7;
-        mask |= (marks.wrapping_mul(0x0102_0408_1020_4080) >> 56) << i;
-        i += 8;
-    }
-    while i < n {
-        mask |= u64::from(win[i] != read[i]) << i;
-        i += 1;
-    }
-    mask
-}
-
 // ---------------------------------------------------------------------------
 // x86 / x86_64 intrinsic kernels.
 // ---------------------------------------------------------------------------
@@ -651,7 +701,10 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
+    use super::{ChunkScan, PruneSweep, Sweep};
+
     /// Horizontal sum of the four u64 lanes of `v`.
+    #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn hsum_epi64(v: __m256i) -> u64 {
         let lo = _mm256_castsi256_si128(v);
@@ -664,6 +717,7 @@ mod x86 {
     ///
     /// The CPU must support AVX2. Slice lengths must be equal (checked by
     /// the safe dispatcher).
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn fold_avx2(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -752,6 +806,7 @@ mod x86 {
     /// The CPU must support AVX-512F and AVX-512BW. Slice lengths must be
     /// equal (checked by the safe dispatcher). Tails use fault-suppressing
     /// masked loads, so no out-of-bounds byte is ever touched.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn fold_avx512(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -798,83 +853,163 @@ mod x86 {
         (_mm512_reduce_add_epi64(acc) as u64, count)
     }
 
+    /// Inclusive prefix sums of the eight u16 lanes of `v`: three
+    /// shift-adds.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn prefix_u16(v: __m128i) -> __m128i {
+        let v = _mm_add_epi16(v, _mm_slli_si128::<2>(v));
+        let v = _mm_add_epi16(v, _mm_slli_si128::<4>(v));
+        _mm_add_epi16(v, _mm_slli_si128::<8>(v))
+    }
+
+    /// The first lane of an 8-lane group (the low 8 bytes of `bytes`,
+    /// selected scores) whose prefix sum exceeds `left`, which is below
+    /// the group's sum (≤ 8 × 255, so u16 prefixes are exact): a
+    /// three-step shift-add scan, one compare, one movemask.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn locate_in_group(bytes: __m128i, left: u64) -> usize {
+        let prefix = prefix_u16(_mm_cvtepu8_epi16(bytes));
+        let over = _mm_cmpgt_epi16(prefix, _mm_set1_epi16(left as i16));
+        // Two mask bits per u16 lane.
+        (_mm_movemask_epi8(over) as u32).trailing_zeros() as usize / 2
+    }
+
+    /// One 64-lane chunk scan over two 32-byte halves. Two SADs give the
+    /// eight 8-lane group sums, packed into u16 lanes and prefix-summed;
+    /// every prefix is at most 64 × 255 < `i16::MAX`, so signed compares
+    /// against `rem` clamped to `i16::MAX` are exact. A crossing chunk
+    /// reloads the crossing group's eight lanes for [`locate_in_group`].
+    ///
     /// # Safety
     ///
-    /// The CPU must support AVX2. Slice lengths equal and ≤ 64 (checked
-    /// by the safe dispatcher).
+    /// The CPU must support AVX2; every pointer must be valid for 64
+    /// bytes.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mask_avx2(win: &[u8], read: &[u8]) -> u64 {
-        let n = read.len();
-        let mut mask = 0u64;
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let a = _mm256_loadu_si256(win.as_ptr().add(i).cast());
-            let b = _mm256_loadu_si256(read.as_ptr().add(i).cast());
-            let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) as u32;
-            mask |= u64::from(!eq) << i;
-            i += 32;
+    unsafe fn scan_avx2(win: *const u8, read: *const u8, scores: *const u8, rem: u64) -> ChunkScan {
+        let group_sums = |at: usize| {
+            // SAFETY: the caller guarantees 64 valid bytes per pointer.
+            let (a, b, s) = unsafe {
+                (
+                    _mm256_loadu_si256(win.add(at).cast()),
+                    _mm256_loadu_si256(read.add(at).cast()),
+                    _mm256_loadu_si256(scores.add(at).cast()),
+                )
+            };
+            let sel = _mm256_andnot_si256(_mm256_cmpeq_epi8(a, b), s);
+            _mm256_sad_epu8(sel, _mm256_setzero_si256())
+        };
+        // One u64 per group, g0..g3 then g4..g7. Packing twice leaves, in
+        // 128-bit half h, the u16 pairs (g2h, g2h+1) and (g2h+4, g2h+5)
+        // as u32 lanes; the permute puts them in order.
+        let pairs = _mm256_packus_epi32(group_sums(0), group_sums(32));
+        let pairs = _mm256_packus_epi32(pairs, pairs);
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 0, 0, 0, 0);
+        let groups = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(pairs, order));
+        let prefix = prefix_u16(groups);
+        let over = _mm_cmpgt_epi16(prefix, _mm_set1_epi16(rem.min(i16::MAX as u64) as i16));
+        let mask = _mm_movemask_epi8(over) as u32;
+        if mask == 0 {
+            return Ok(_mm_extract_epi16::<7>(prefix) as u64);
         }
-        if i + 16 <= n {
-            let a = _mm_loadu_si128(win.as_ptr().add(i).cast());
-            let b = _mm_loadu_si128(read.as_ptr().add(i).cast());
-            let eq = _mm_movemask_epi8(_mm_cmpeq_epi8(a, b)) as u32;
-            mask |= (u64::from(!eq) & 0xFFFF) << i;
-            i += 16;
-        }
-        while i < n {
-            mask |= u64::from(win[i] != read[i]) << i;
-            i += 1;
-        }
-        mask
+        let at = mask.trailing_zeros() as usize / 2 * 8;
+        // The sum before the crossing group is the largest prefix not
+        // over `rem` (0 if group 0 crosses): the minimum of the
+        // complemented prefixes, with the crossed lanes forced to 0xFFFF.
+        let flipped = _mm_or_si128(_mm_xor_si128(prefix, _mm_set1_epi32(-1)), over);
+        let before = !(_mm_cvtsi128_si32(_mm_minpos_epu16(flipped)) as u16);
+        // SAFETY: `at + 8 <= 64`, inside every pointer's 64 bytes.
+        let (w, r, s) = unsafe {
+            (
+                _mm_loadl_epi64(win.add(at).cast()),
+                _mm_loadl_epi64(read.add(at).cast()),
+                _mm_loadl_epi64(scores.add(at).cast()),
+            )
+        };
+        let sel = _mm_andnot_si128(_mm_cmpeq_epi8(w, r), s);
+        Err(at + locate_in_group(sel, rem - u64::from(before)))
     }
 
+    /// One 64-lane chunk scan in one vector: the SAD's eight group sums
+    /// are prefix-summed in three shift-adds, one unsigned compare
+    /// against `rem` finds the crossing group, and [`locate_in_group`]
+    /// the lane inside it.
+    ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512BW. Slice lengths equal
-    /// and ≤ 64 (checked by the safe dispatcher). The tail uses
-    /// fault-suppressing masked loads, so no out-of-bounds byte is ever
-    /// touched; masked-out lanes load zero on both sides and compare
-    /// equal.
+    /// The CPU must support AVX-512F and AVX-512BW; every pointer must be
+    /// valid for 64 bytes.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn mask_avx512(win: &[u8], read: &[u8]) -> u64 {
-        let lanes = tail_mask(read.len());
-        let a = _mm512_maskz_loadu_epi8(lanes, win.as_ptr().cast());
-        let b = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().cast());
-        _mm512_cmpneq_epi8_mask(a, b) & lanes
+    unsafe fn scan_avx512(
+        win: *const u8,
+        read: *const u8,
+        scores: *const u8,
+        rem: u64,
+    ) -> ChunkScan {
+        let zero = _mm512_setzero_si512();
+        // SAFETY: the caller guarantees 64 valid bytes per pointer.
+        let (a, b, s) = unsafe {
+            (
+                _mm512_loadu_si512(win.cast()),
+                _mm512_loadu_si512(read.cast()),
+                _mm512_loadu_si512(scores.cast()),
+            )
+        };
+        let sel = _mm512_maskz_mov_epi8(_mm512_cmpneq_epi8_mask(a, b), s);
+        let groups = _mm512_sad_epu8(sel, zero);
+        // Inclusive prefix over the eight u64 group sums: lane i gains
+        // lane i - 1, then i - 2, then i - 4 (zeros shift in).
+        let mut prefix = _mm512_add_epi64(groups, _mm512_alignr_epi64::<7>(groups, zero));
+        prefix = _mm512_add_epi64(prefix, _mm512_alignr_epi64::<6>(prefix, zero));
+        prefix = _mm512_add_epi64(prefix, _mm512_alignr_epi64::<4>(prefix, zero));
+        let over = _mm512_cmpgt_epu64_mask(prefix, _mm512_set1_epi64(rem as i64));
+        if over == 0 {
+            let top = _mm512_extracti64x4_epi64::<1>(prefix);
+            return Ok(_mm256_extract_epi64::<3>(top) as u64);
+        }
+        let group = over.trailing_zeros() as usize;
+        let pick = _mm512_set1_epi64(group as i64);
+        let before = _mm512_sub_epi64(prefix, groups);
+        let before = _mm_cvtsi128_si64(_mm512_castsi512_si128(_mm512_permutexvar_epi64(
+            pick, before,
+        )));
+        let bytes = _mm512_castsi512_si128(_mm512_permutexvar_epi64(pick, sel));
+        Err(group * 8 + locate_in_group(bytes, rem - before as u64))
     }
 
     /// # Safety
     ///
-    /// The CPU must support AVX2. Lengths checked by the safe
-    /// dispatcher.
+    /// The CPU must support AVX2, and `sweep` must have passed
+    /// [`super::prune_sweep`]'s length checks.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn serial_sweep_avx2(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        // The closure inherits this function's target features, so the
-        // mask kernel inlines into the offset loop.
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_avx2(w, r)
-        })
+    pub unsafe fn prune_sweep_avx2(sweep: &Sweep<'_>, on_cross: impl FnMut(usize)) -> PruneSweep {
+        // The closures inherit this function's target features, so the
+        // fold and the scan inline into the offset loop.
+        sweep.run(
+            on_cross,
+            // SAFETY: AVX2 verified by the caller; equal slice lengths.
+            |w, r, s| unsafe { fold_avx2(w, r, s) },
+            // SAFETY: every chunk slice is exactly 64 bytes long.
+            |w, r, s, rem| unsafe { scan_avx2(w.as_ptr(), r.as_ptr(), s.as_ptr(), rem) },
+        )
     }
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512BW. Lengths checked by
-    /// the safe dispatcher.
+    /// The CPU must support AVX-512F and AVX-512BW, and `sweep` must have
+    /// passed [`super::prune_sweep`]'s length checks.
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn serial_sweep_avx512(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_avx512(w, r)
-        })
+    pub unsafe fn prune_sweep_avx512(sweep: &Sweep<'_>, on_cross: impl FnMut(usize)) -> PruneSweep {
+        sweep.run(
+            on_cross,
+            // SAFETY: AVX-512 verified by the caller; equal slice lengths.
+            |w, r, s| unsafe { fold_avx512(w, r, s) },
+            // SAFETY: every chunk slice is exactly 64 bytes long.
+            |w, r, s, rem| unsafe { scan_avx512(w.as_ptr(), r.as_ptr(), s.as_ptr(), rem) },
+        )
     }
 }
 
@@ -890,6 +1025,7 @@ mod aarch64 {
     ///
     /// The CPU must support NEON. Slice lengths must be equal (checked by
     /// the safe dispatcher).
+    #[inline]
     #[target_feature(enable = "neon")]
     pub unsafe fn fold_neon(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -941,57 +1077,22 @@ mod aarch64 {
 
     /// # Safety
     ///
-    /// The CPU must support NEON. Slice lengths equal and ≤ 64 (checked
-    /// by the safe dispatcher).
+    /// The CPU must support NEON, and `sweep` must have passed
+    /// [`super::prune_sweep`]'s length checks.
     #[target_feature(enable = "neon")]
-    pub unsafe fn mask_neon(win: &[u8], read: &[u8]) -> u64 {
-        let n = read.len();
-        let mut mask = 0u64;
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let a = vld1q_u8(win.as_ptr().add(i));
-            let b = vld1q_u8(read.as_ptr().add(i));
-            // 0xFF per mismatching lane, narrowed to a nibble per lane
-            // (the standard aarch64 movemask: shift-right-narrow by 4
-            // across u16 lanes), then one bit per nibble.
-            let neq = vmvnq_u8(vceqq_u8(a, b));
-            let nib = vshrn_n_u16(vreinterpretq_u16_u8(neq), 4);
-            let bits = vget_lane_u64(vreinterpret_u64_u8(nib), 0);
-            let marks = bits & 0x1111_1111_1111_1111;
-            // Gather nibble marks to one bit per lane: lane j's 0x1 at
-            // bit 4j maps to bit 60 + (j % 16)... instead, peel the four
-            // bit-planes — marks has one bit per 4, so fold pairs.
-            let mut m = marks;
-            let mut lane_mask = 0u64;
-            while m != 0 {
-                let bit = m.trailing_zeros() as u64;
-                lane_mask |= 1u64 << (bit / 4);
-                m &= m - 1;
-            }
-            mask |= lane_mask << i;
-            i += 16;
-        }
-        while i < n {
-            mask |= u64::from(win[i] != read[i]) << i;
-            i += 1;
-        }
-        mask
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support NEON. Lengths checked by the safe
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn serial_sweep_neon(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_neon(w, r)
-        })
+    pub unsafe fn prune_sweep_neon(
+        sweep: &super::Sweep<'_>,
+        on_cross: impl FnMut(usize),
+    ) -> super::PruneSweep {
+        // The portable locator over NEON's fold, one vector per word.
+        sweep.run(
+            on_cross,
+            // SAFETY: NEON verified by the caller; equal slice lengths.
+            |w, r, s| unsafe { fold_neon(w, r, s) },
+            |w, r, s, rem| {
+                super::scan_portable::<16>(|w, r, s| unsafe { fold_neon(w, r, s) }, w, r, s, rem)
+            },
+        )
     }
 }
 
@@ -1119,22 +1220,6 @@ mod tests {
                 for kind in KernelKind::available() {
                     prop_assert_eq!(fold_whd(kind, win, read, scores), want.0, "{} sum", kind);
                     prop_assert_eq!(fold_whd_counted(kind, win, read, scores), want, "{} counted", kind);
-                }
-            }
-
-            /// Every available kernel computes the scalar mismatch
-            /// bitmask exactly, at every window width up to 64.
-            #[test]
-            fn all_kernels_match_scalar_mask(
-                len in 0usize..=64,
-                win_raw in prop::collection::vec(0u8..=5, 64),
-                read_raw in prop::collection::vec(0u8..=5, 64),
-            ) {
-                let win = &win_raw[..len];
-                let read = &read_raw[..len];
-                let want = mismatch_mask(KernelKind::Scalar, win, read);
-                for kind in KernelKind::available() {
-                    prop_assert_eq!(mismatch_mask(kind, win, read), want, "{} mask", kind);
                 }
             }
         }

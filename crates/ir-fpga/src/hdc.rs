@@ -16,11 +16,14 @@
 //! parallelism this model captures.
 //!
 //! [`run_pair`] steps the model cycle by cycle and is the reference. The
-//! fast path ([`run_pair_fast_packed`], [`run_read_sweep`]) jumps the
-//! cycle accounting to each scan's outcome and evaluates the folds on the
-//! runtime-dispatched explicit-SIMD kernels ([`ir_core::kernel`]) over
-//! the structure-of-arrays batch layout ([`ir_core::batch`]) — same
-//! [`PairRun`], bit for bit, for every [`KernelKind`].
+//! fast path ([`run_pair_fast_packed`], [`run_read_sweep`]) runs one
+//! [`ir_core::kernel::prune_sweep`] per (candidate, read) pair over the
+//! structure-of-arrays batch layout ([`ir_core::batch`]): the kernel
+//! finds each offset's minimum-WHD verdict and, for a pruned offset, the
+//! base at which its running WHD crossed the bound, and a closed-form
+//! charge turns that base into the cycles and comparisons `run_pair`
+//! would have stepped through — same [`PairRun`], bit for bit, for every
+//! [`KernelKind`].
 
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel::{self, KernelKind};
@@ -246,34 +249,24 @@ pub fn run_read_sweep(
 
 /// The jump-to-outcome scan of one (candidate, read) pair over the batch
 /// layout: `row` is the candidate's zero-padded code row, `cons_len` its
-/// real length. Four shapes cover every configuration:
+/// real length.
 ///
-/// - **Serial with immediate pruning** (`lanes == 1`,
-///   `prune_latency_blocks == 0`): each kernel-width chunk folds its
-///   weighted mismatch sum in one dispatched SIMD pass; only the chunk
-///   that crosses the running minimum is replayed base-by-base to charge
-///   the exact visited count the per-base scan would. The charge is the
-///   crossing base's position, which no chunking can move.
-/// - **Drain swallows the whole read**
-///   (`nblocks ≤ prune_latency_blocks + 1`): even if block 0 trips the
-///   comparator, every block issues before the stop lands, so the scan
-///   is an unconditional full fold — no early exit at all. The fold runs
-///   whole vectors over the pre-padded lane arrays (padding lanes carry
-///   score 0, so they add nothing), with no tail handling in the loop.
-/// - **No comparator** (`pruning == false`, the HLS-style configs): the
-///   scan never stops early at any offset, so the cycle and comparison
-///   charges are closed-form (`(max_k + 1) · nblocks` and
-///   `(max_k + 1) · n`) and the whole pair reduces to the same padded
-///   dense fold.
-/// - **Everything else**: [`run_pair`]'s block loop verbatim — same
-///   per-block cycle charge, same prune-verdict drain — with the inner
-///   per-base compare loop replaced by the dispatched fold. The control
-///   flow being identical, so are the cycle, comparison and
-///   pruned-offset counts.
+/// One [`kernel::prune_sweep`] covers every configuration. In
+/// [`run_pair`] the bound at offset `k` is the minimum full WHD over the
+/// completed offsets before `k`, and the scan of `k` is pruned iff its
+/// full WHD exceeds that bound — block granularity and the prune
+/// verdict's drain only decide *when* the scan stops, never *whether*.
+/// So each offset needs only the kernel's verdict and, for a pruned
+/// offset, its crossing index `c`, which [`Charge::crossed`] turns into
+/// the exact cycles and comparisons `run_pair` charges. A completed
+/// offset charges every block and every base. Without pruning the bound
+/// is infinite, and when the drain swallows the whole read
+/// (`nblocks ≤ prune_latency_blocks + 1`) a pruned offset costs as much
+/// as a completed one, so the kernel skips locating `c`.
 ///
 /// The equality `run_pair_fast(..) == run_pair(..)` therefore holds
-/// unconditionally for every kernel (asserted exhaustively by the
-/// differential proptest below and the kernel-parity suite).
+/// unconditionally for every kernel (asserted by the differential
+/// proptest below and the kernel-parity suite).
 fn run_pair_codes(
     row: &[u8],
     cons_len: usize,
@@ -284,117 +277,81 @@ fn run_pair_codes(
     assert!(cfg.lanes > 0, "HDC must have at least one lane");
     let n = read.len();
     assert!(n <= cons_len, "read longer than consensus");
-    let rcodes = read.codes();
-    let scores = read.scores();
+    let offsets = (cons_len - n) as u64 + 1;
+    let charge = Charge::new(cfg, n);
+    let locate = cfg.pruning && charge.depends_on_crossing();
 
-    let max_k = cons_len - n;
-    let mut min = MinWhd {
-        whd: u64::MAX,
-        offset: 0,
-    };
     let mut cycles = cfg.pair_overhead_cycles;
     let mut comparisons = 0u64;
-    let mut offsets_pruned = 0u64;
-
-    let nblocks = n.div_ceil(cfg.lanes) as u64;
-    if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
-        // The whole offset sweep runs inside the kernel crate so the
-        // per-ISA mismatch compare inlines into the offset loop (one
-        // vector compare per 64-base chunk, scores accumulated bit by
-        // bit in ascending position with the per-base bound check —
-        // exactly the reference scan's pruning semantics).
-        let sweep = kernel::serial_sweep(kind, row, cons_len, rcodes, scores);
-        min = MinWhd {
+    let sweep = kernel::prune_sweep(kind, row, cons_len, read, cfg.pruning, locate, |c| {
+        let (blocks, bases) = charge.crossed(c);
+        cycles += blocks;
+        comparisons += bases;
+    });
+    let completed = if locate {
+        offsets - sweep.crossed
+    } else {
+        offsets
+    };
+    cycles += completed * charge.nblocks;
+    comparisons += completed * charge.n;
+    PairRun {
+        min: MinWhd {
             whd: sweep.min_whd,
             offset: sweep.min_offset,
-        };
-        comparisons += sweep.visited;
-        cycles += sweep.visited;
-        offsets_pruned += sweep.offsets_pruned;
-    } else if cfg.pruning && nblocks <= cfg.prune_latency_blocks + 1 {
-        // Even if block 0 trips the comparator, `prune_latency_blocks`
-        // more blocks issue before the stop lands — which is all of them,
-        // so every offset folds the full read unconditionally. The
-        // padded lane arrays let the fold run whole vectors with no
-        // tail: lanes past the read end compare padding-vs-padding (or
-        // candidate code vs padding) at score 0 and contribute nothing.
-        let rp = read.codes_padded();
-        let sp = read.scores_padded();
-        let n_pad = read.padded_len();
-        for k in 0..=max_k {
-            let whd = kernel::fold_whd(kind, &row[k..k + n_pad], rp, sp);
-            comparisons += n as u64;
-            cycles += nblocks;
-            if whd > min.whd {
-                offsets_pruned += 1;
-            } else if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
-        }
-    } else if !cfg.pruning {
-        // With no prune comparator the block loop has no data-dependent
-        // exit at any offset: every scan folds the full read, so the
-        // counts are closed-form and only the min-WHD needs computing —
-        // the same padded dense fold as the shape above, minus the
-        // comparator bookkeeping.
-        let rp = read.codes_padded();
-        let sp = read.scores_padded();
-        let n_pad = read.padded_len();
-        for k in 0..=max_k {
-            let whd = kernel::fold_whd(kind, &row[k..k + n_pad], rp, sp);
-            if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
-        }
-        comparisons = (max_k as u64 + 1) * n as u64;
-        cycles += (max_k as u64 + 1) * nblocks;
-    } else {
-        // run_pair's block loop with the per-base compare replaced by the
-        // dispatched fold; covers data-parallel, deep-drain and odd lane
-        // configurations alike.
-        for k in 0..=max_k {
-            let win = &row[k..k + n];
-            let mut whd = 0u64;
-            let mut pruned = false;
-            let mut block_start = 0usize;
-            let mut drain: Option<u64> = None;
-            while block_start < n {
-                let block_end = (block_start + cfg.lanes).min(n);
-                cycles += 1;
-                comparisons += (block_end - block_start) as u64;
-                whd += kernel::fold_whd(
-                    kind,
-                    &win[block_start..block_end],
-                    &rcodes[block_start..block_end],
-                    &scores[block_start..block_end],
-                );
-                if let Some(remaining) = drain.as_mut() {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        break;
-                    }
-                } else if cfg.pruning && whd > min.whd {
-                    pruned = true;
-                    if cfg.prune_latency_blocks == 0 {
-                        break;
-                    }
-                    drain = Some(cfg.prune_latency_blocks);
-                }
-                block_start = block_end;
-            }
-            if pruned {
-                offsets_pruned += 1;
-            } else if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
-        }
-    }
-    debug_assert_ne!(min.whd, u64::MAX, "offset 0 always completes");
-    PairRun {
-        min,
+        },
         cycles,
         comparisons,
-        offsets_pruned,
+        offsets_pruned: sweep.crossed,
+    }
+}
+
+/// The closed-form cost [`run_pair`] charges one offset scan of an
+/// `n`-base read: a completed scan issues every block (`nblocks`) and
+/// compares every base (`n`); a pruned one stops as [`Charge::crossed`]
+/// says.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    lanes: usize,
+    drain: u64,
+    nblocks: u64,
+    n: u64,
+}
+
+impl Charge {
+    fn new(cfg: HdcConfig, n: usize) -> Self {
+        Charge {
+            lanes: cfg.lanes,
+            drain: cfg.prune_latency_blocks,
+            nblocks: n.div_ceil(cfg.lanes) as u64,
+            n: n as u64,
+        }
+    }
+
+    /// Whether a pruned scan's cost depends on where it crossed: not when
+    /// the drain swallows the whole read (`nblocks ≤ drain + 1`), since
+    /// then every block issues before the stop lands.
+    fn depends_on_crossing(self) -> bool {
+        self.nblocks > self.drain.saturating_add(1)
+    }
+
+    /// The `(cycles, comparisons)` of a scan whose running WHD first
+    /// exceeds the bound at base `c`: the comparator sees the crossing at
+    /// the end of block `c / lanes`, `drain` more blocks issue before the
+    /// stop lands, and the read's end caps both.
+    fn crossed(self, c: usize) -> (u64, u64) {
+        // `c / lanes`, shifted for power-of-two lanes (both presets): a
+        // division per pruned offset costs as much as locating `c`.
+        let block = if self.lanes.is_power_of_two() {
+            c >> self.lanes.trailing_zeros()
+        } else {
+            c / self.lanes
+        };
+        let blocks = (block as u64)
+            .saturating_add(1)
+            .saturating_add(self.drain)
+            .min(self.nblocks);
+        (blocks, blocks.saturating_mul(self.lanes as u64).min(self.n))
     }
 }
 
@@ -402,7 +359,7 @@ fn run_pair_codes(
 mod tests {
     use super::*;
     use ir_core::{calc_whd, OpCounts};
-    use ir_genome::{Read, RealignmentTarget};
+    use ir_genome::{Base, Read, RealignmentTarget};
 
     fn fixture() -> (Sequence, Sequence, Qual) {
         (
@@ -546,6 +503,44 @@ mod tests {
         assert_eq!(with_overhead.cycles, base.cycles + 7);
     }
 
+    /// A two-offset pair: offset 0 matches exactly (so offset 1's bound
+    /// is 0) and offset 1 first mismatches at base `c`.
+    fn crossing_pair(n: usize, c: usize) -> (Sequence, Sequence, Qual) {
+        let read: Sequence = (0..n)
+            .map(|i| if i == c + 1 { Base::T } else { Base::A })
+            .collect();
+        let last = if c + 1 == n { Base::T } else { Base::A };
+        let cons: Sequence = read.bases().iter().copied().chain([last]).collect();
+        (cons, read, Qual::uniform(30, n).unwrap())
+    }
+
+    #[test]
+    fn charge_matches_run_pair() {
+        for lanes in [1usize, 3, 8, 32] {
+            for latency in 0..=3 {
+                let cfg = HdcConfig {
+                    lanes,
+                    pruning: true,
+                    pair_overhead_cycles: 0,
+                    prune_latency_blocks: latency,
+                };
+                for n in [1usize, 2, 5, 31, 32, 33, 64, 100] {
+                    let nblocks = n.div_ceil(lanes) as u64;
+                    for c in 0..n {
+                        let (cons, read, quals) = crossing_pair(n, c);
+                        let run = run_pair(&cons, &read, &quals, cfg);
+                        let (blocks, bases) = Charge::new(cfg, n).crossed(c);
+                        let at = format!("lanes {lanes} latency {latency} n {n} c {c}");
+                        assert_eq!(run.offsets_pruned, 1, "{at}");
+                        // Offset 0 completes; offset 1 is charged.
+                        assert_eq!(run.cycles, nblocks + blocks, "{at}");
+                        assert_eq!(run.comparisons, n as u64 + bases, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn fast_path_matches_reference_on_fixture() {
         let (cons, read, quals) = fixture();
@@ -560,9 +555,10 @@ mod tests {
 
     #[test]
     fn fast_path_matches_on_block_granular_shapes() {
-        // lanes=32 with a long read (nblocks > drain+1), a no-pruning
-        // config and a non-word-aligned lane count all take the
-        // block-granular path; results must still match on every kernel.
+        // lanes=32 with a long read (nblocks > drain+1, so crossings are
+        // located), a no-pruning config and a non-word-aligned lane count
+        // all charge block-granular costs; results must still match on
+        // every kernel.
         let cons: Sequence = "ACGT".repeat(80).parse().unwrap();
         let read: Sequence = "TTGCA".repeat(30).parse().unwrap();
         let quals = Qual::uniform(22, read.len()).unwrap();

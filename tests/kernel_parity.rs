@@ -5,20 +5,28 @@
 //! `kernel-dispatch` matrix additionally forces each kind process-wide
 //! via `IR_KERNEL`, which the ambient calls here pick up.)
 //!
-//! The fast kernel has four execution shapes, selected by the config and
-//! the read geometry:
+//! The fast path is one kernel, `kernel::prune_sweep`, that reports each
+//! offset's verdict against the pruning bound and, for a pruned offset,
+//! its crossing index (the first base whose running WHD exceeds the
+//! bound); `hdc` turns that index into cycle and comparison charges in
+//! closed form. What varies with the config is only which part of the
+//! kernel runs:
 //!
-//! 1. serial immediate-prune (`lanes == 1 && prune_latency_blocks == 0`),
-//! 2. dense fold when the drain swallows the whole read
-//!    (`nblocks <= prune_latency_blocks + 1`),
-//! 3. closed-form unpruned fold (`pruning == false`),
-//! 4. the block-granular fallback for everything else.
+//! - the in-vector crossing locator (pruning on, `nblocks >
+//!   prune_latency_blocks + 1`),
+//! - the verdict without locating (pruning on, the drain swallows the
+//!   whole read),
+//! - the bound-free fold (pruning off, or a bound no window can reach).
 //!
-//! Every case exercises a curated config set that covers all shapes
-//! (both presets, pruning on/off, lane counts that straddle the block
-//! boundaries) plus one randomized config, over random sequence pairs
-//! including `N` bases — the full `PairRun` (min WHD, offset, cycles,
-//! comparisons, pruned-offset count) must be identical.
+//! Every case exercises a curated config set that covers all three (both
+//! presets, pruning on/off, lane counts that straddle the block
+//! boundaries) plus one randomized config, over random sequence pairs of
+//! up to 300 bases (several 64-base kernel chunks) with scores up to
+//! `MAX_PHRED_SCORE`, including `N` bases — the full `PairRun` (min WHD,
+//! offset, cycles, comparisons, pruned-offset count) must be identical.
+//! Deterministic cases pin crossings at chunk-lane edges, a running WHD
+//! that ties the bound, all-match and all-mismatch windows, `N` bases and
+//! an empty read on every kernel.
 //!
 //! The batch proptests additionally pin the structure-of-arrays sweep
 //! ([`run_read_sweep`]) element-wise against per-pair scans across ragged
@@ -27,11 +35,12 @@
 //! Case counts are gated on `IR_PROPTEST_CASES` (see README).
 
 use ir_system::core::batch::{CandidateBlock, SweepRead};
+use ir_system::core::kernel::{prune_sweep, PruneSweep};
 use ir_system::core::KernelKind;
 use ir_system::fpga::hdc::{
     run_pair, run_pair_fast_packed, run_pair_fast_packed_with, run_read_sweep, HdcConfig,
 };
-use ir_system::genome::{Base, PackedSequence, Qual, Sequence};
+use ir_system::genome::{Base, PackedSequence, Qual, Sequence, MAX_PHRED_SCORE};
 use proptest::prelude::*;
 
 /// Maps a byte to a base, all five symbols reachable.
@@ -45,21 +54,22 @@ fn base(code: u8) -> Base {
     }
 }
 
-/// Configs covering every execution shape of the fast kernel. With reads
-/// of 1..=96 bases, `lanes` values below straddle `nblocks <=
+/// Configs covering every part of the fast kernel. With reads of
+/// 1..=300 bases, `lanes` values below straddle `nblocks <=
 /// prune_latency_blocks + 1` both ways (e.g. a 3-base read at 32 lanes is
 /// one block — drain-swallowed at latency 2 — while a 96-base read is
 /// not).
 fn shape_covering_configs() -> Vec<HdcConfig> {
     vec![
-        // Shape 1: serial immediate prune (the base design).
+        // Serial immediate prune (the base design): locates every crossing.
         HdcConfig::serial(),
-        // Shape 3: serial without pruning.
+        // Serial without pruning: the bound-free fold.
         HdcConfig {
             pruning: false,
             ..HdcConfig::serial()
         },
-        // Shapes 2 and 4 by read length: the Figure 8 data-parallel design.
+        // Verdict-only or located by read length: the Figure 8
+        // data-parallel design.
         HdcConfig::data_parallel(),
         HdcConfig {
             pruning: false,
@@ -72,7 +82,7 @@ fn shape_covering_configs() -> Vec<HdcConfig> {
             pair_overhead_cycles: 0,
             prune_latency_blocks: 3,
         },
-        // Multi-lane with immediate prune verdict (shape 4, latency 0).
+        // Multi-lane with immediate prune verdict (latency 0).
         HdcConfig {
             lanes: 32,
             pruning: true,
@@ -94,11 +104,11 @@ prop_compose! {
     /// consensus.len()`, all symbols (including `N`) and the full
     /// Phred-score range.
     fn pair_inputs()(
-        read_len in 1usize..=96,
+        read_len in 1usize..=300,
         extra in 0usize..=64,
-        cons_codes in prop::collection::vec(any::<u8>(), 160),
-        read_codes in prop::collection::vec(any::<u8>(), 96),
-        qual_scores in prop::collection::vec(0u8..=60, 96)
+        cons_codes in prop::collection::vec(any::<u8>(), 364),
+        read_codes in prop::collection::vec(any::<u8>(), 300),
+        qual_scores in prop::collection::vec(0u8..=MAX_PHRED_SCORE, 300)
     ) -> (Sequence, Sequence, Qual) {
         let cons: Sequence = cons_codes[..read_len + extra].iter().map(|&c| base(c)).collect();
         let read: Sequence = read_codes[..read_len].iter().map(|&c| base(c)).collect();
@@ -123,11 +133,11 @@ prop_compose! {
     /// A ragged candidate set (1..=5 candidates of unequal lengths, all
     /// long enough to admit the read) plus a read that may be empty.
     fn batch_inputs()(
-        read_len in 0usize..=64,
+        read_len in 0usize..=300,
         extras in prop::collection::vec(0usize..=48, 1..=5),
-        codes in prop::collection::vec(any::<u8>(), 5 * (64 + 48)),
-        read_codes in prop::collection::vec(any::<u8>(), 64),
-        qual_scores in prop::collection::vec(0u8..=60, 64)
+        codes in prop::collection::vec(any::<u8>(), 5 * (300 + 48)),
+        read_codes in prop::collection::vec(any::<u8>(), 300),
+        qual_scores in prop::collection::vec(0u8..=MAX_PHRED_SCORE, 300)
     ) -> (Vec<Sequence>, Sequence, Qual) {
         let mut offset = 0;
         let cands: Vec<Sequence> = extras
@@ -263,5 +273,136 @@ fn zero_length_read_batch_parity() {
                 assert_eq!(pair.min.offset, 0);
             }
         }
+    }
+}
+
+/// `(cons, read, quals)` from ASCII bases.
+fn pair(cons: &str, read: &str, quals: &[u8]) -> (Sequence, Sequence, Qual) {
+    (
+        cons.parse().unwrap(),
+        read.parse().unwrap(),
+        Qual::from_raw_scores(quals).unwrap(),
+    )
+}
+
+/// Runs `kernel::prune_sweep` with pruning and crossing location on, and
+/// returns its outcome plus every reported crossing index.
+fn crossings(
+    kind: KernelKind,
+    cons: &Sequence,
+    read: &Sequence,
+    quals: &Qual,
+) -> (PruneSweep, Vec<usize>) {
+    let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
+    let sweep_read = SweepRead::new(read.bases(), quals);
+    let mut found = Vec::new();
+    let sweep = prune_sweep(
+        kind,
+        block.row_padded(0),
+        block.len(0),
+        &sweep_read,
+        true,
+        true,
+        |c| found.push(c),
+    );
+    (sweep, found)
+}
+
+/// Every kernel reports `want` crossings and the scalar reference's
+/// `PairRun` under every covered config.
+fn assert_edge_case(name: &str, (cons, read, quals): (Sequence, Sequence, Qual), want: &[usize]) {
+    let (pc, pr) = (PackedSequence::from(&cons), PackedSequence::from(&read));
+    for kind in KernelKind::available() {
+        let (sweep, found) = crossings(kind, &cons, &read, &quals);
+        assert_eq!(found, want, "{name}: kernel {kind} crossings");
+        assert_eq!(sweep.crossed, want.len() as u64, "{name}: kernel {kind}");
+        for cfg in shape_covering_configs() {
+            assert_eq!(
+                run_pair_fast_packed_with(&pc, &pr, &quals, kind, cfg),
+                run_pair(&cons, &read, &quals, cfg),
+                "{name}: kernel {kind} config {cfg:?}"
+            );
+        }
+    }
+}
+
+/// Crossings at the first and last lane of the first two 64-base chunks:
+/// offset 0 matches exactly, so offset 1 crosses at its first mismatch.
+#[test]
+fn crossing_at_chunk_lane_edges() {
+    let n = 192;
+    for c in [0usize, 63, 64, 127] {
+        let read: String = (0..n).map(|i| if i == c + 1 { 'T' } else { 'A' }).collect();
+        let cons = format!("{read}A");
+        assert_edge_case(
+            &format!("crossing at {c}"),
+            pair(&cons, &read, &[30; 192]),
+            &[c],
+        );
+    }
+}
+
+/// A running WHD that reaches the bound exactly does not prune — neither
+/// inside one chunk nor across a chunk boundary — and one more unit of
+/// score at the crossing base does.
+#[test]
+fn running_whd_equal_to_bound_does_not_prune() {
+    // Offset 0 mismatches at bases 63 and 100, offset 1 at 62 and 99.
+    let cons = format!("{}C{}C{}", "A".repeat(63), "A".repeat(36), "A".repeat(30));
+    let read = "A".repeat(130);
+    let tied = vec![40u8; 130];
+    assert_edge_case("tie", pair(&cons, &read, &tied), &[]);
+    // Offset 1 now totals 81 > 80 and crosses at its second mismatch.
+    let mut over = tied;
+    over[99] = 41;
+    assert_edge_case("tie plus one", pair(&cons, &read, &over), &[99]);
+}
+
+/// All-match and all-mismatch windows never cross: every offset ties the
+/// first (0 or the read's full score).
+#[test]
+fn all_match_and_all_mismatch_windows() {
+    let read = "A".repeat(150);
+    let quals: Vec<u8> = (0..150).map(|i| (i * 7 % 94) as u8).collect();
+    assert_edge_case("all match", pair(&"A".repeat(170), &read, &quals), &[]);
+    assert_edge_case("all mismatch", pair(&"C".repeat(170), &read, &quals), &[]);
+    // Max-score mismatches around one exact window at offset 10: the
+    // offsets before it only improve, the ones after it cross at their
+    // first `C`, base 149 down to 140.
+    let cons = format!("{}{}{}", "C".repeat(10), read, "C".repeat(10));
+    assert_edge_case(
+        "one exact window",
+        pair(&cons, &read, &[MAX_PHRED_SCORE; 150]),
+        &(140..150).rev().collect::<Vec<_>>(),
+    );
+}
+
+/// `N` compares equal to `N` and unequal to every other base, on every
+/// kernel.
+#[test]
+fn n_bases_compare_by_code() {
+    let read = "ACGTN".repeat(26);
+    // Offset 0 exact; offset 1 shifted, so its first base mismatches.
+    assert_edge_case("N read", pair(&format!("{read}N"), &read, &[25; 130]), &[0]);
+    let all_n = "N".repeat(100);
+    assert_edge_case("all N", pair(&"N".repeat(120), &all_n, &[25; 100]), &[]);
+}
+
+/// An empty read completes every offset at WHD 0 on every kernel.
+#[test]
+fn zero_length_read_prune_sweep() {
+    let (cons, read, quals) = pair("ACGTACGT", "", &[]);
+    for kind in KernelKind::available() {
+        let (sweep, found) = crossings(kind, &cons, &read, &quals);
+        assert!(found.is_empty(), "kernel {kind}");
+        assert_eq!(
+            sweep,
+            PruneSweep {
+                min_whd: 0,
+                min_offset: 0,
+                crossed: 0
+            },
+            "kernel {kind}"
+        );
     }
 }
