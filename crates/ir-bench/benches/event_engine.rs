@@ -1,17 +1,15 @@
-//! Criterion benchmark of the two simulation backends: the legacy
-//! cycle-stepping schedulers vs the `ir-sim` discrete-event engine.
+//! Criterion benchmark of the `ir-sim` discrete-event engine's host wall
+//! clock for one full asynchronous [`AcceleratedSystem::run`].
 //!
 //! The grid covers the workload scales the figure binaries run at
 //! (`IR_SCALE` ∈ {1e-4, 1e-3, 5e-3}) and the unit counts the paper's
-//! configurations span ({1, 8, 32}). Both backends produce bitwise-
-//! identical `SystemRun`s (asserted by `tests/event_parity.rs`); this
-//! bench measures the only thing that differs — host wall clock.
+//! configurations span ({1, 8, 32}).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ir_bench::bench_workload;
-use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling, SimBackend};
+use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
 use ir_genome::RealignmentTarget;
 
 /// Target count at a given scale — the same `IR_SCALE` proportionality
@@ -21,7 +19,7 @@ fn grid_targets(scale: f64) -> usize {
     ((25_600.0 * scale).round() as usize).max(32)
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_engine(c: &mut Criterion) {
     for scale in [1e-4, 1e-3, 5e-3] {
         let targets: Vec<RealignmentTarget> =
             bench_workload(scale).targets(grid_targets(scale), 0x7E1E);
@@ -31,21 +29,15 @@ fn bench_backends(c: &mut Criterion) {
                 num_units: units,
                 ..FpgaParams::serial()
             };
-            for (backend_name, backend) in [
-                ("engine", SimBackend::EventDriven),
-                ("legacy", SimBackend::LegacyStepper),
-            ] {
-                let system = AcceleratedSystem::new(params, Scheduling::Asynchronous)
-                    .expect("serial config fits at every unit count")
-                    .with_backend(backend);
-                group.bench_function(format!("units_{units:02}_{backend_name}"), |b| {
-                    b.iter(|| system.run(black_box(&targets)))
-                });
-            }
+            let system = AcceleratedSystem::new(params, Scheduling::Asynchronous)
+                .expect("serial config fits at every unit count");
+            group.bench_function(format!("units_{units:02}_engine"), |b| {
+                b.iter(|| system.run(black_box(&targets)))
+            });
         }
         group.finish();
     }
 }
 
-criterion_group!(benches, bench_backends);
+criterion_group!(benches, bench_engine);
 criterion_main!(benches);

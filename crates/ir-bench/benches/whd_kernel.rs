@@ -5,11 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::{calc_whd, calc_whd_bounded, calc_whd_bounded_packed, calc_whd_packed, KernelKind};
-use ir_fpga::hdc::{
-    run_pair, run_pair_fast_packed, run_pair_fast_packed_with, run_read_sweep, HdcConfig,
-};
-use ir_genome::{Base, PackedSequence, Qual, Sequence};
+use ir_core::{calc_whd, calc_whd_bounded, kernel, KernelKind};
+use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
+use ir_genome::{Base, Qual, Sequence};
 
 fn sequence(len: usize, salt: usize) -> Sequence {
     (0..len)
@@ -48,81 +46,6 @@ fn bench_calc_whd(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs SWAR kernel across read lengths, on the two fixture shapes
-/// that bracket real workloads: a read sampled from the consensus (sparse
-/// mismatches — the common case once candidate haplotypes are decent) and
-/// an unrelated read (dense mismatches — the adversarial case where every
-/// lane accumulates). Sequences are packed outside the timing loop, which
-/// matches deployment: the unit packs each target once and reuses the
-/// words across all `m - n + 1` offsets.
-fn bench_scalar_vs_packed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("whd_scalar_vs_packed");
-    for n in [62usize, 100, 250] {
-        let m = n + 448;
-        let cons = sequence(m, 1);
-        let quals = Qual::uniform(35, n).unwrap();
-        let sparse = cons.slice(17, 17 + n);
-        let dense = sequence(n, 2);
-        let packed_cons = PackedSequence::from(&cons);
-        for (shape, read) in [("sparse", &sparse), ("dense", &dense)] {
-            let packed_read = PackedSequence::from(read);
-            group.throughput(Throughput::Elements(n as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("scalar_{shape}"), n),
-                &(),
-                |b, ()| {
-                    b.iter(|| calc_whd(black_box(&cons), black_box(read), black_box(&quals), 17))
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("packed_{shape}"), n),
-                &(),
-                |b, ()| {
-                    b.iter(|| {
-                        calc_whd_packed(
-                            black_box(&packed_cons),
-                            black_box(&packed_read),
-                            black_box(&quals),
-                            17,
-                        )
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("scalar_bounded_{shape}"), n),
-                &(),
-                |b, ()| {
-                    b.iter(|| {
-                        calc_whd_bounded(
-                            black_box(&cons),
-                            black_box(read),
-                            black_box(&quals),
-                            17,
-                            100,
-                        )
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("packed_bounded_{shape}"), n),
-                &(),
-                |b, ()| {
-                    b.iter(|| {
-                        calc_whd_bounded_packed(
-                            black_box(&packed_cons),
-                            black_box(&packed_read),
-                            black_box(&quals),
-                            17,
-                            100,
-                        )
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_hdc_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdc_pair_scan");
     let (m, n) = (510usize, 62usize);
@@ -146,20 +69,20 @@ fn bench_hdc_scan(c: &mut Criterion) {
             b.iter(|| run_pair(black_box(&cons), black_box(&read), black_box(&quals), cfg))
         });
     }
-    // The SWAR jump-to-outcome kernel against the cycle-stepped reference,
-    // on the same fixtures (it returns the identical PairRun).
-    let packed_cons = PackedSequence::from(&cons);
-    let packed_read = PackedSequence::from(&read);
+    // The jump-to-outcome sweep against the cycle-stepped reference, on
+    // the same pair as a one-row block (it returns the identical PairRun).
+    let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
+    let sweep_read = SweepRead::new(read.bases(), &quals);
     for (name, cfg) in [
-        ("serial_pruned_packed", HdcConfig::serial()),
-        ("data_parallel_packed", HdcConfig::data_parallel()),
+        ("serial_pruned_sweep", HdcConfig::serial()),
+        ("data_parallel_sweep", HdcConfig::data_parallel()),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                run_pair_fast_packed(
-                    black_box(&packed_cons),
-                    black_box(&packed_read),
-                    black_box(&quals),
+                run_read_sweep(
+                    black_box(&block),
+                    black_box(&sweep_read),
+                    kernel::active(),
                     cfg,
                 )
             })
@@ -169,8 +92,8 @@ fn bench_hdc_scan(c: &mut Criterion) {
 }
 
 /// Every runnable kernel (scalar, SWAR, each `std::arch` ISA the host
-/// supports) through both execution modes — per-pair scans and the
-/// structure-of-arrays batch sweep — on the sparse and dense fixture
+/// supports) through both execution modes — per-pair scans over one-row
+/// blocks and the structure-of-arrays batch sweep — on the sparse and dense fixture
 /// shapes. This is the acceptance row for the explicit-SIMD engine: on
 /// the dense shape the widest SIMD kernel must clear 2x over SWAR.
 fn bench_kernel_dispatch(c: &mut Criterion) {
@@ -183,14 +106,17 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
         ..HdcConfig::data_parallel()
     };
     let cons: Vec<Sequence> = (0..candidates).map(|i| sequence(m, i + 1)).collect();
-    let packed_cons: Vec<PackedSequence> = cons.iter().map(PackedSequence::from).collect();
-    let block = CandidateBlock::from_packed_rows(&packed_cons);
+    let rows: Vec<&[Base]> = cons.iter().map(|c| c.bases()).collect();
+    let block = CandidateBlock::from_bases_rows(&rows);
+    let pair_blocks: Vec<CandidateBlock> = rows
+        .iter()
+        .map(|row| CandidateBlock::from_bases_rows(&[row]))
+        .collect();
     // Sparse: a read sampled from one candidate. Dense: an unrelated read.
     let sparse = cons[0].slice(17, 17 + n);
     let dense = sequence(n, 77);
     group.throughput(Throughput::Elements((candidates * (m - n + 1) * n) as u64));
     for (shape, read) in [("sparse", &sparse), ("dense", &dense)] {
-        let packed_read = PackedSequence::from(read);
         let sweep_read = SweepRead::new(read.bases(), &quals);
         for kind in KernelKind::available() {
             group.bench_with_input(
@@ -198,11 +124,10 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
                 &(),
                 |b, ()| {
                     b.iter(|| {
-                        for pc in &packed_cons {
-                            black_box(run_pair_fast_packed_with(
-                                black_box(pc),
-                                black_box(&packed_read),
-                                black_box(&quals),
+                        for pair_block in &pair_blocks {
+                            black_box(run_read_sweep(
+                                black_box(pair_block),
+                                black_box(&sweep_read),
                                 kind,
                                 cfg,
                             ));
@@ -225,7 +150,6 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_calc_whd,
-    bench_scalar_vs_packed,
     bench_hdc_scan,
     bench_kernel_dispatch
 );

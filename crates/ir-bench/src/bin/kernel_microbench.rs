@@ -5,8 +5,9 @@
 //! offers (`simd` — the one [`ir_core::kernel::active`] dispatches to,
 //! unless `IR_KERNEL` overrides it), in three modes:
 //!
-//! - **pair**  — one `run_pair_fast_packed_with` call per (consensus,
-//!   read) pair, the pre-batching hot path;
+//! - **pair**  — one `run_read_sweep` call per (consensus, read) pair,
+//!   each over a prepared one-row [`CandidateBlock`]: the per-call cost
+//!   of scanning pairs one at a time;
 //! - **batch** — one `run_read_sweep` over a structure-of-arrays
 //!   [`CandidateBlock`] holding all candidates, the deployed hot path;
 //! - **pruned** — the same batch sweep under the serial datapath with
@@ -32,8 +33,8 @@ use ir_bench::Table;
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel;
 use ir_core::KernelKind;
-use ir_fpga::hdc::{run_pair_fast_packed_with, run_read_sweep, HdcConfig};
-use ir_genome::{Base, PackedSequence, Qual, Sequence};
+use ir_fpga::hdc::{run_read_sweep, HdcConfig};
+use ir_genome::{Base, Qual, Sequence};
 
 fn sequence(len: usize, salt: usize) -> Sequence {
     (0..len)
@@ -77,10 +78,13 @@ fn main() {
     let cons: Vec<Sequence> = (0..candidates).map(|i| sequence(m, i + 1)).collect();
     let read = sequence(n, 77);
     let quals = Qual::uniform(35, n).unwrap();
-    let packed_cons: Vec<PackedSequence> = cons.iter().map(PackedSequence::from).collect();
-    let packed_read = PackedSequence::from(&read);
-    let block = CandidateBlock::from_packed_rows(&packed_cons);
-    let sweep_read = SweepRead::from_packed(&packed_read, &quals);
+    let cons_rows: Vec<&[Base]> = cons.iter().map(|c| c.bases()).collect();
+    let block = CandidateBlock::from_bases_rows(&cons_rows);
+    let pair_blocks: Vec<CandidateBlock> = cons_rows
+        .iter()
+        .map(|row| CandidateBlock::from_bases_rows(&[row]))
+        .collect();
+    let sweep_read = SweepRead::new(read.bases(), &quals);
     // Bases compared per full sweep of one read against all candidates.
     let bases = (candidates * (m - n + 1) * n) as f64;
 
@@ -114,14 +118,8 @@ fn main() {
     let mut simd_batch_ns = None;
     for (row, kind) in rows {
         let pair_ns = time_ns(|| {
-            for pc in &packed_cons {
-                std::hint::black_box(run_pair_fast_packed_with(
-                    pc,
-                    &packed_read,
-                    &quals,
-                    kind,
-                    cfg,
-                ));
+            for pair_block in &pair_blocks {
+                std::hint::black_box(run_read_sweep(pair_block, &sweep_read, kind, cfg));
             }
         });
         let batch_ns = time_ns(|| {

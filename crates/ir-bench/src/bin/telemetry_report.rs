@@ -14,12 +14,12 @@
 //! emitted JSON, and prints the bottleneck report derived from the
 //! per-unit cycle accounting.
 //!
-//! By default the runs go through the discrete-event engine with a shared
-//! [`FunctionalOracle`], so the three configurations reuse each other's
-//! memoized unit results where their datapath parameters coincide. Pass
-//! `--legacy-stepper` to force the original cycle-stepping schedulers —
-//! the outputs are bitwise identical (CI diffs the trace files across the
-//! two backends byte for byte); only the wall clock differs.
+//! The runs share one [`FunctionalOracle`], so the three configurations
+//! reuse each other's memoized unit results where their datapath
+//! parameters coincide. Every emitted artifact is deterministic; CI checks
+//! them at `IR_SCALE=1e-3` against a SHA-256 manifest recorded from the
+//! cycle-stepping schedulers the event-driven engine replaced
+//! (`tests/fixtures/telemetry_report_1e-3.sha256`).
 //!
 //! The cross-check at the end measures the paper's Figure 7 claim: the
 //! asynchronous scheduler removes the worst-case idle time that
@@ -29,7 +29,7 @@ use std::fs;
 use std::time::Instant;
 
 use ir_bench::{bench_workload, results_dir, scale_from_env, threads_from_env, Table};
-use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling, SimBackend};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 use ir_telemetry::json::validate_json;
 
 /// Target count floor so per-unit statistics are meaningful even at the
@@ -40,17 +40,11 @@ fn report_targets(scale: f64) -> usize {
 }
 
 fn main() {
-    let legacy = std::env::args().any(|a| a == "--legacy-stepper");
-    let backend = if legacy {
-        SimBackend::LegacyStepper
-    } else {
-        SimBackend::EventDriven
-    };
     let scale = scale_from_env();
     let threads = threads_from_env();
     let targets = bench_workload(scale).targets(report_targets(scale), 0x7E1E);
     println!(
-        "Telemetry report ({} targets, bench-profile workload at scale {scale}, {backend:?} backend, {threads} host threads)\n",
+        "Telemetry report ({} targets, bench-profile workload at scale {scale}, {threads} host threads)\n",
         targets.len()
     );
 
@@ -66,7 +60,7 @@ fn main() {
 
     // Host wall-clock is printed to stdout only: every emitted artifact
     // (counter CSVs, traces, this summary table) stays deterministic and
-    // byte-identical across backends and repeat runs.
+    // byte-identical across repeat runs and thread counts.
     let mut summary = Table::new(vec![
         "config",
         "wall ms",
@@ -83,19 +77,14 @@ fn main() {
     for (name, params, scheduling) in configs {
         let system = AcceleratedSystem::new(params, scheduling)
             .expect("paper configurations fit the VU9P")
-            .with_telemetry(true)
-            .with_backend(backend);
+            .with_telemetry(true);
         let host_start = Instant::now();
-        let run = if legacy {
-            system.run(&targets)
-        } else {
-            // Warm the oracle across host threads first: the datapath
-            // results are a pure function of (target, timing key), so the
-            // event loop that follows replays them from cache and stays
-            // bitwise identical to a cold single-threaded run.
-            oracle.precompute(&targets, &params, threads);
-            system.run_with_oracle(&targets, &mut oracle)
-        };
+        // Warm the oracle across host threads first: the datapath results
+        // are a pure function of (target, timing key), so the event loop
+        // that follows replays them from cache and stays bitwise identical
+        // to a cold single-threaded run.
+        oracle.precompute(&targets, &params, threads);
+        let run = system.run_with_oracle(&targets, &mut oracle);
         let host_s = host_start.elapsed().as_secs_f64();
         let snapshot = run.telemetry.as_ref().expect("telemetry enabled");
 
@@ -117,7 +106,7 @@ fn main() {
         );
         println!("{}", report.render());
         println!(
-            "[csv] {}\n[trace] {}\n[host] {:.1} ms on the {backend:?} backend\n",
+            "[csv] {}\n[trace] {}\n[host] {:.1} ms\n",
             csv_path.display(),
             trace_path.display(),
             host_s * 1e3

@@ -271,6 +271,22 @@ mod tests {
     }
 
     #[test]
+    fn absurd_entry_count_is_a_miss() {
+        let params = FpgaParams::iracc();
+        for count in [u64::MAX, 1 << 40] {
+            let mut snapshot = FunctionalOracle::new()
+                .export_entries(&params, 0)
+                .expect("zero entries always export");
+            let at = snapshot.len() - 8;
+            snapshot[at..].copy_from_slice(&count.to_le_bytes());
+            let mut file = FILE_MAGIC.to_vec();
+            file.extend_from_slice(&7u64.to_le_bytes());
+            file.extend_from_slice(&snapshot);
+            assert!(decode_file(&file, 7, &params).is_none(), "count {count}");
+        }
+    }
+
+    #[test]
     fn corrupt_entry_falls_back_to_recompute() {
         let targets = targets();
         let dir = tempdir("corrupt");

@@ -61,7 +61,6 @@ pub mod realign;
 pub mod score;
 pub mod stats;
 pub mod whd;
-pub mod whd_packed;
 
 mod realigner;
 
@@ -74,4 +73,3 @@ pub use realigner::{IndelRealigner, PruningMode, RealignmentResult};
 pub use score::{score_consensuses, score_consensuses_with, select_best, SelectionRule};
 pub use stats::OpCounts;
 pub use whd::{calc_whd, calc_whd_bounded, BoundedWhd};
-pub use whd_packed::{calc_whd_bounded_packed, calc_whd_packed};

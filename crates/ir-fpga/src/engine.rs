@@ -1,11 +1,7 @@
 //! The event-driven simulation core: the system of `system.rs` recast as
 //! [`ir_sim`] components exchanging messages on a discrete-event queue.
-//!
-//! The legacy schedulers ([`SimBackend::LegacyStepper`]) walk targets in
-//! host loops and call the cycle-stepping HDC kernel per pair. This module
-//! reproduces the *same arithmetic in the same order* — every `f64`
-//! accumulation, every telemetry call — but as reactions to events, with
-//! two structural wins:
+//! It is the only scheduler: every [`AcceleratedSystem`] entry point runs
+//! through [`run_event_driven`].
 //!
 //! - The clock jumps between state changes instead of ticking, so the
 //!   datapath can be evaluated through the jump-to-outcome kernel
@@ -16,20 +12,25 @@
 //!   (Figure 4's 32:1 arbiter fabric) and what lets the fleet simulator
 //!   reuse the same engine for spot-interruption events.
 //!
-//! # Equivalence with the legacy stepper
+//! # Equivalence with the cycle-stepping schedulers
 //!
-//! `tests/event_parity.rs` asserts bitwise-identical [`SystemRun`]s. The
+//! The engine replaced host-loop schedulers that walked targets one at a
+//! time and stepped the HDC kernel per pair. It reproduces *the same
+//! arithmetic in the same order* — every `f64` accumulation, every
+//! telemetry call — and `tests/event_parity.rs` holds it to their frozen
+//! outputs (`tests/fixtures/stepper_runs.txt`) bit for bit. The
 //! load-bearing ordering facts:
 //!
 //! - Control messages ([`Ev::Resolve`]/[`Ev::Resolved`]/DMA replies) post
 //!   at priority 0; unit free/tick events post at priority
 //!   `UNIT_BASE + unit`. At any timestamp every in-flight dispatch
 //!   round-trip therefore completes before the next unit frees — the
-//!   round-trip is atomic, exactly like one iteration of the legacy loop.
+//!   round-trip is atomic, exactly like one iteration of the old host
+//!   loop.
 //! - Among units freeing at the same instant, priority `UNIT_BASE + unit`
-//!   reproduces the legacy min-heap's `(time, unit_index)` tie-break.
+//!   reproduces the old min-heap's `(time, unit_index)` tie-break.
 //! - The asynchronous path quantizes unit-free times to integer
-//!   picoseconds (`from_ps(to_ps(end))`), the exact conversion the legacy
+//!   picoseconds (`from_ps(to_ps(end))`), the exact conversion the old
 //!   heap applied, so every `free` the scheduler reads is bit-identical.
 
 use std::cmp::Reverse;
@@ -40,8 +41,6 @@ use ir_telemetry::{SpanKind, Track};
 
 use crate::dma::DmaParams;
 use crate::oracle::FunctionalOracle;
-#[cfg(doc)]
-use crate::system::SimBackend;
 use crate::system::{
     timeline_from_snapshot, AcceleratedSystem, DispatchRecord, FaultState, Scheduling, SystemRun,
     TeleAcc,
@@ -58,7 +57,7 @@ const WATCHDOG: usize = 2;
 const UNIT_BASE: usize = 3;
 
 /// Integer-picosecond quantization used by the asynchronous unit-free
-/// clock — the same conversion the legacy min-heap applied at its edges.
+/// clock — the same conversion the old stepper's min-heap applied at its edges.
 fn to_ps(s: f64) -> u64 {
     (s * 1e12) as u64
 }
@@ -229,8 +228,8 @@ impl Component for WatchdogComp<'_, '_, '_> {
 
 /// One IR unit as a component: dispatched with a busy-until time, it
 /// self-wakes then and reports free. The free report carries the unit's
-/// own index as its tie-break priority, reproducing the legacy heap's
-/// unit-index ordering among simultaneous completions.
+/// own index as its tie-break priority, reproducing the unit-index
+/// ordering the old stepper's min-heap gave simultaneous completions.
 struct UnitComp {
     id: usize,
 }
@@ -256,7 +255,7 @@ impl Component for UnitComp {
 }
 
 /// The run-wide ledgers both schedulers accumulate into; folded into a
-/// [`SystemRun`] identically to the legacy epilogue.
+/// [`SystemRun`] identically to the old stepper's epilogue.
 struct Ledger {
     acc: TeleAcc,
     results: Vec<Option<UnitRun>>,
@@ -334,7 +333,7 @@ struct AsyncSched<'s, 't, 'o> {
     chunk_cursor: usize,
     dispatch_idx: usize,
     /// Per-unit compute-end times and the prefetch pointer — telemetry
-    /// observables only, exactly as in the legacy scheduler.
+    /// observables only, exactly as in the old stepping scheduler.
     unit_end_s: Vec<f64>,
     arrived: usize,
     wall: f64,
@@ -370,7 +369,7 @@ impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
     }
 
     /// Plans the next descriptor chain of up to `num_units` targets in
-    /// dispatch order (the prefetch groups of the legacy scheduler).
+    /// dispatch order (the prefetch groups of the old stepping scheduler).
     fn plan_next_chain(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
         if self.chunk_cursor >= self.order.len() {
             return;
@@ -468,7 +467,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                 let cfg = sys.config_time_s(target);
                 let busy = (run.cycles.total() + extra) as f64 * cycle_s;
                 // `now` is the unit's ps-quantized free instant — the exact
-                // `from_ps(free_ps)` the legacy heap pop produced.
+                // `from_ps(free_ps)` the old stepper's heap pop produced.
                 let free = now.seconds();
                 let start = free.max(self.dma_done[t]) + cfg;
                 let dma_wait = (self.dma_done[t] - free).max(0.0);
@@ -809,7 +808,6 @@ pub(crate) fn run_event_driven(
 mod tests {
     use super::*;
     use crate::params::FpgaParams;
-    use crate::system::SimBackend;
     use ir_genome::{Qual, Read, RealignmentTarget};
 
     /// A small workload with uneven shapes so scheduling order matters.
@@ -863,43 +861,6 @@ mod tests {
             (None, None) => {}
             (Some(x), Some(y)) => assert!(x.bitwise_eq(y), "telemetry snapshots differ"),
             _ => panic!("one run has telemetry, the other not"),
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_all_schedulings() {
-        let targets = workload(11);
-        for scheduling in [
-            Scheduling::Synchronous,
-            Scheduling::SynchronousUnsorted,
-            Scheduling::SynchronousByWorstCase,
-            Scheduling::Asynchronous,
-        ] {
-            for params in [FpgaParams::serial(), FpgaParams::iracc()] {
-                let sys = AcceleratedSystem::new(params, scheduling)
-                    .unwrap()
-                    .with_telemetry(true);
-                let engine_run = sys.run(&targets);
-                let legacy_run = sys
-                    .clone()
-                    .with_backend(SimBackend::LegacyStepper)
-                    .run(&targets);
-                assert_runs_bitwise_equal(&engine_run, &legacy_run);
-            }
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_without_telemetry() {
-        let targets = workload(7);
-        for scheduling in [Scheduling::Synchronous, Scheduling::Asynchronous] {
-            let sys = AcceleratedSystem::new(FpgaParams::iracc(), scheduling).unwrap();
-            let engine_run = sys.run(&targets);
-            let legacy_run = sys
-                .clone()
-                .with_backend(SimBackend::LegacyStepper)
-                .run(&targets);
-            assert_runs_bitwise_equal(&engine_run, &legacy_run);
         }
     }
 

@@ -7,8 +7,7 @@
 //! handful of [`FpgaParams`] fields the datapath reads — so when the same
 //! workload is replayed under several configurations that share those
 //! fields (e.g. the synchronous and asynchronous schedulers over identical
-//! serial parameters, or a legacy-vs-engine differential run), every
-//! simulation after the first is a cache hit.
+//! serial parameters), every simulation after the first is a cache hit.
 //!
 //! The oracle computes through [`simulate_target_fast`], the
 //! equivalence-preserving jump-to-outcome kernel, so even cold misses skip
@@ -248,8 +247,11 @@ impl FunctionalOracle {
         if stored != key {
             return Err("oracle snapshot was built under different timing parameters".into());
         }
-        let n = r.u64()? as usize;
-        let mut entries = Vec::with_capacity(n);
+        let n = r.usize()?;
+        // `n` is untrusted: reserve no more entries than the remaining
+        // bytes could hold, so a corrupt count is a decode error rather
+        // than an allocation failure.
+        let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_RUN_BYTES));
         for i in 0..n {
             entries.push(((key, i), read_run(&mut r)?));
         }
@@ -267,6 +269,9 @@ impl FunctionalOracle {
 const SNAPSHOT_MAGIC: &[u8] = b"IRORACLE";
 /// Snapshot format version; bump on any layout change.
 const SNAPSHOT_VERSION: u64 = 1;
+/// Smallest encoded [`UnitRun`]: the eleven fixed `u64` fields
+/// [`put_run`] writes for an empty grid.
+const MIN_RUN_BYTES: usize = 11 * 8;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -315,6 +320,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -602,6 +611,33 @@ mod tests {
             fresh.import_entries(&params, &bytes).unwrap(),
             targets.len()
         );
+    }
+
+    /// A snapshot header claiming `count` entries with no payload behind
+    /// it.
+    fn snapshot_claiming(params: &FpgaParams, count: u64) -> Vec<u8> {
+        let mut bytes = FunctionalOracle::new()
+            .export_entries(params, 0)
+            .expect("zero entries always export");
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&count.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn import_rejects_absurd_entry_counts_without_allocating() {
+        let params = FpgaParams::serial();
+        for count in [u64::MAX, 1 << 40] {
+            let mut oracle = FunctionalOracle::new();
+            let err = oracle
+                .import_entries(&params, &snapshot_claiming(&params, count))
+                .expect_err("a count the payload cannot hold must not load");
+            assert!(
+                err.contains("truncated") || err.contains("oversized"),
+                "count {count}: {err}"
+            );
+            assert!(oracle.is_empty());
+        }
     }
 
     #[test]

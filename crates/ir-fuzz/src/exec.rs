@@ -5,18 +5,20 @@
 //! layer becomes a `panic/<stage>` mismatch instead of killing the fuzz
 //! loop:
 //!
-//! - **kernel** — [`ir_fpga::hdc::run_pair`] (scalar reference) vs
-//!   [`ir_fpga::hdc::run_pair_fast_packed`] (the dispatched fast path) on
-//!   every (consensus, read) pair, plus every available explicit-SIMD
-//!   [`KernelKind`] (AVX2/AVX-512/NEON) differenced against the portable
-//!   SWAR kernel on the same pair. The extra backend pairs only add
-//!   mismatch checks — the corpus fingerprint hashes the scalar result
-//!   exactly as before, so every persisted case replays bitwise-unchanged.
-//! - **engine** — the event-driven core vs the legacy cycle stepper,
-//!   bitwise across the full [`SystemRun`] including telemetry; plus the
+//! - **kernel** — [`ir_fpga::hdc::run_pair`] (the cycle-stepped spec) vs
+//!   [`ir_fpga::hdc::run_read_sweep`] (the fast path, on the dispatched
+//!   kernel) on every (consensus, read) pair as a one-row
+//!   [`CandidateBlock`], plus every available explicit-SIMD [`KernelKind`]
+//!   (AVX2/AVX-512/NEON) differenced against the portable SWAR kernel on
+//!   the same pair. The backend pairs only add mismatch checks — the
+//!   corpus fingerprint hashes the scalar result alone, so every persisted
+//!   case replays bitwise-unchanged.
+//! - **engine** — the event-driven core's full [`SystemRun`] including
+//!   telemetry (its equivalence with the cycle-stepping schedulers it
+//!   replaced is pinned by `tests/event_parity.rs`); the
 //!   telemetry-transparency contract (enabling telemetry changes no
-//!   reported number) and, under a fault spec, the resilient path on both
-//!   backends.
+//!   reported number); and, under a fault spec, the resilient run, whose
+//!   functional results must match the clean run's.
 //! - **invariants** — cross-cutting telemetry laws: per-unit cycle
 //!   conservation, `arbiter5/grants == arbiter32/grants == ddr/beats`,
 //!   and `resilience/*` counters mirroring the report.
@@ -33,9 +35,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ir_fpga::hdc::{run_pair, run_pair_fast_packed, run_pair_fast_packed_with, HdcConfig, PairRun};
-use ir_fpga::{AcceleratedSystem, FaultPlan, KernelKind, ResiliencePolicy, SimBackend, SystemRun};
-use ir_genome::PackedSequence;
+use ir_core::batch::{CandidateBlock, SweepRead};
+use ir_core::kernel;
+use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
+use ir_fpga::{AcceleratedSystem, FaultPlan, KernelKind, ResiliencePolicy, SystemRun};
 use ir_serve::{
     FaultInjection, FleetConfig, FleetReport, FleetService, RealignService, Request, ServeConfig,
     ServiceReport,
@@ -148,9 +151,9 @@ fn hash_report(h: &mut Fnv, report: &ServiceReport) {
     }
 }
 
-/// Stage 1: scalar reference kernel vs the dispatched packed kernel on
-/// every (consensus, read) pair of every target, plus each explicit-SIMD
-/// kernel vs the portable SWAR kernel on the same pair.
+/// Stage 1: the cycle-stepped spec vs the fast sweep on the dispatched
+/// kernel for every (consensus, read) pair of every target, plus each
+/// explicit-SIMD kernel vs the portable SWAR kernel on the same pair.
 fn kernel_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     let simd_kinds: Vec<KernelKind> = KernelKind::available()
         .into_iter()
@@ -164,18 +167,17 @@ fn kernel_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     };
     for (ti, target) in input.targets.iter().enumerate() {
         for (ci, cons) in target.consensuses().iter().enumerate() {
-            let packed_cons = PackedSequence::from_sequence(cons);
+            let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
             for (ri, read) in target.reads().iter().enumerate() {
                 if read.len() > cons.len() {
                     continue; // no alignment offset exists for this pair
                 }
+                let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
+                let sweep = |kind| run_read_sweep(&block, &sweep_read, kind, cfg)[0];
                 let slow = guarded("kernel", out, |_| {
                     run_pair(cons, read.bases(), read.quals(), cfg)
                 });
-                let fast = guarded("kernel", out, |_| {
-                    let packed_read = PackedSequence::from_sequence(read.bases());
-                    run_pair_fast_packed(&packed_cons, &packed_read, read.quals(), cfg)
-                });
+                let fast = guarded("kernel", out, |_| sweep(kernel::active()));
                 let (Some(slow), Some(fast)) = (slow, fast) else {
                     return; // a panicking kernel would panic on every pair
                 };
@@ -191,37 +193,18 @@ fn kernel_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
                     };
                     out.push(Mismatch {
                         stage: "kernel",
-                        signature: format!("kernel/packed-vs-scalar/{field}"),
+                        signature: format!("kernel/sweep-vs-scalar/{field}"),
                         detail: format!(
-                            "target {ti} consensus {ci} read {ri}: scalar {slow:?} vs packed {fast:?}"
+                            "target {ti} consensus {ci} read {ri}: scalar {slow:?} vs sweep {fast:?}"
                         ),
                     });
                 }
                 // SIMD-vs-SWAR backend pairs: extra checks only — the
                 // fingerprint below still hashes the scalar result alone.
                 if !simd_kinds.is_empty() {
-                    let packed_read = PackedSequence::from_sequence(read.bases());
-                    let swar = guarded("kernel", out, |_| {
-                        run_pair_fast_packed_with(
-                            &packed_cons,
-                            &packed_read,
-                            read.quals(),
-                            KernelKind::Swar,
-                            cfg,
-                        )
-                    });
-                    if let Some(swar) = swar {
+                    if let Some(swar) = guarded("kernel", out, |_| sweep(KernelKind::Swar)) {
                         for &kind in &simd_kinds {
-                            let simd = guarded("kernel", out, |_| {
-                                run_pair_fast_packed_with(
-                                    &packed_cons,
-                                    &packed_read,
-                                    read.quals(),
-                                    kind,
-                                    cfg,
-                                )
-                            });
-                            if let Some(simd) = simd {
+                            if let Some(simd) = guarded("kernel", out, |_| sweep(kind)) {
                                 if simd != swar {
                                     out.push(Mismatch {
                                         stage: "kernel",
@@ -373,51 +356,27 @@ fn telemetry_invariants(run: &SystemRun, num_units: usize, out: &mut Vec<Mismatc
     }
 }
 
-fn system(
-    input: &FuzzInput,
-    backend: SimBackend,
-    telemetry: bool,
-) -> Result<AcceleratedSystem, ir_fpga::FpgaError> {
+fn system(input: &FuzzInput, telemetry: bool) -> Result<AcceleratedSystem, ir_fpga::FpgaError> {
     AcceleratedSystem::new(input.params.params(), input.scheduling)
-        .map(|s| s.with_backend(backend).with_telemetry(telemetry))
+        .map(|s| s.with_telemetry(telemetry))
 }
 
-/// Stage 2 + 3: engine pair, telemetry transparency, fault parity and
-/// telemetry invariants.
+/// Stage 2 + 3: the engine run, telemetry transparency, fault-path
+/// functional stability and telemetry invariants.
 fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     let num_units = input.params.num_units;
-    let engine = match system(input, SimBackend::EventDriven, true) {
+    let engine = match system(input, true) {
         Ok(s) => s,
         Err(e) => {
             // Construction rejections are a legitimate outcome for
-            // boundary parameters — but both backends must agree on them.
+            // boundary parameters.
             h.str(&format!("construct:{e:?}"));
-            if let Ok(_legacy) = system(input, SimBackend::LegacyStepper, true) {
-                out.push(Mismatch {
-                    stage: "engine",
-                    signature: "engine/construction-divergence".to_string(),
-                    detail: format!("event-driven rejected ({e}) but legacy accepted"),
-                });
-            }
-            return;
-        }
-    };
-    let legacy = match system(input, SimBackend::LegacyStepper, true) {
-        Ok(s) => s,
-        Err(e) => {
-            out.push(Mismatch {
-                stage: "engine",
-                signature: "engine/construction-divergence".to_string(),
-                detail: format!("legacy rejected ({e}) but event-driven accepted"),
-            });
             return;
         }
     };
 
     let run_a = guarded("engine", out, |_| engine.run(&input.targets));
-    let run_b = guarded("engine", out, |_| legacy.run(&input.targets));
-    if let (Some(run_a), Some(run_b)) = (&run_a, &run_b) {
-        diff_runs(run_a, run_b, "event-vs-stepper", out);
+    if let Some(run_a) = &run_a {
         telemetry_invariants(run_a, num_units, out);
         hash_system_run(h, run_a);
     }
@@ -426,7 +385,7 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     // numbers (minus the snapshot and the trace-derived timeline).
     if let Some(run_a) = &run_a {
         let plain = guarded("engine", out, |_| {
-            system(input, SimBackend::EventDriven, false)
+            system(input, false)
                 .expect("already constructed once")
                 .run(&input.targets)
         });
@@ -440,16 +399,13 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
 
     if let Some(fault) = &input.fault {
         let policy = ResiliencePolicy::default();
-        let resilient = |sys: &AcceleratedSystem| -> Result<SystemRun, String> {
+        let resilient = || -> Result<SystemRun, String> {
             let mut plan =
                 FaultPlan::try_seeded(fault.seed, fault.rates).map_err(|e| e.to_string())?;
-            Ok(sys.run_resilient(&input.targets, &mut plan, &policy))
+            Ok(engine.run_resilient(&input.targets, &mut plan, &policy))
         };
-        let fa = guarded("engine", out, |_| resilient(&engine));
-        let fb = guarded("engine", out, |_| resilient(&legacy));
-        match (fa, fb) {
-            (Some(Ok(fa)), Some(Ok(fb))) => {
-                diff_runs(&fa, &fb, "fault-event-vs-stepper", out);
+        match guarded("engine", out, |_| resilient()) {
+            Some(Ok(fa)) => {
                 telemetry_invariants(&fa, num_units, out);
                 let report = fa.resilience.as_ref().expect("resilient runs report");
                 // The clean run's functional results must survive faults.
@@ -472,14 +428,14 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
                 }
                 hash_system_run(h, &fa);
             }
-            (Some(Err(e)), _) | (_, Some(Err(e))) => {
+            Some(Err(e)) => {
                 out.push(Mismatch {
                     stage: "engine",
                     signature: "engine/fault-plan-rejected".to_string(),
                     detail: e,
                 });
             }
-            _ => {}
+            None => {}
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Differential greybox fuzzing for the realignment stack.
 //!
 //! The repository carries several pairs of independently implemented
-//! backends that must agree bitwise: the scalar and SWAR WHD kernels, the
-//! event-driven engine and the legacy cycle stepper, the batched serving
-//! layer and the direct accelerator path, telemetry-on and telemetry-off
-//! runs. The proptest suites sample the friendly middle of the input
+//! backends that must agree bitwise: the cycle-stepped HDC spec and the
+//! fast sweep on every WHD kernel, the batched serving layer and the
+//! direct accelerator path, fault-injected and fault-free runs,
+//! telemetry-on and telemetry-off runs. The proptest suites sample the friendly middle of the input
 //! space; this crate hunts the edges.
 //!
 //! The loop ([`fuzz`]) is a classic greybox cycle, fully deterministic by

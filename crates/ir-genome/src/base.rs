@@ -115,6 +115,23 @@ impl Base {
     }
 }
 
+/// The non-zero kernel code for a base (`A=1 … N=5`; `0` is padding) —
+/// the byte value the WHD kernels and the batch sweep layout compare.
+///
+/// The mapping is injective over `{A, C, G, T, N}`, so comparing codes for
+/// equality reproduces the hardware's literal byte compare (`N` matches
+/// only `N`), and reserving `0` lets batch layouts pad rows with bytes
+/// that can never collide with a real base.
+pub const fn base_code(base: Base) -> u8 {
+    match base {
+        Base::A => 1,
+        Base::C => 2,
+        Base::G => 3,
+        Base::T => 4,
+        Base::N => 5,
+    }
+}
+
 impl TryFrom<u8> for Base {
     type Error = GenomeError;
 
@@ -164,6 +181,15 @@ impl Default for Base {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn base_codes_are_distinct_and_nonzero() {
+        let codes: Vec<u8> = [Base::A, Base::C, Base::G, Base::T, Base::N]
+            .into_iter()
+            .map(base_code)
+            .collect();
+        assert_eq!(codes, [1, 2, 3, 4, 5]);
+    }
 
     #[test]
     fn round_trips_through_ascii() {

@@ -39,7 +39,6 @@
 mod base;
 mod cigar;
 mod error;
-mod packed;
 mod position;
 mod qual;
 mod read;
@@ -47,10 +46,9 @@ mod sequence;
 mod target;
 pub mod tio;
 
-pub use base::Base;
+pub use base::{base_code, Base};
 pub use cigar::{Cigar, CigarOp};
 pub use error::GenomeError;
-pub use packed::{base_code, PackedSequence, BASES_PER_WORD};
 pub use position::{Chromosome, GenomicPos, GRCH37_CHROMOSOME_LENGTHS};
 pub use qual::{Qual, MAX_PHRED_SCORE, PHRED_ASCII_OFFSET};
 pub use read::Read;
